@@ -3,7 +3,7 @@ GO ?= go
 # releases.
 STATICCHECK_VERSION ?= 2025.1.1
 
-.PHONY: all build test race bench bench-smoke bench-json bench-compare serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
+.PHONY: all build test bench-module-test race bench bench-smoke bench-json bench-compare serve-smoke latency-smoke router-smoke pressure-smoke fmt fmt-check vet aptq-vet staticcheck ci
 
 # Output of `make bench-json` (benchmarks as data; CI uploads it) and the
 # committed baseline `make bench-compare` diffs it against.
@@ -17,6 +17,11 @@ build:
 
 test:
 	$(GO) test ./...
+
+# aptqbench/ is its own Go module (the end-to-end benchmark), so the root
+# `go test ./...` skips it; it compiles against infer and serve.
+bench-module-test:
+	$(GO) -C aptqbench test ./...
 
 # Race-detector pass; -short skips the minute-scale harness table tests so
 # the job fits CI time limits (they still run in `make test`).
@@ -122,4 +127,4 @@ staticcheck:
 
 # Mirrors .github/workflows/ci.yml (staticcheck needs network on first
 # use to fetch the pinned binary; later runs hit the local cache).
-ci: fmt-check vet aptq-vet staticcheck build test race bench-smoke bench-compare serve-smoke latency-smoke router-smoke pressure-smoke
+ci: fmt-check vet aptq-vet staticcheck build test bench-module-test race bench-smoke bench-compare serve-smoke latency-smoke router-smoke pressure-smoke

@@ -332,26 +332,20 @@ func run(cfg config) (map[string]map[string]float64, []string, error) {
 			"tok_per_s":  float64(col.tokens) / elapsed.Seconds(),
 		},
 	}
+	// One /v1/stats sample after the run feeds every stats-derived
+	// section. Only the KV-sharing section is required (with
+	// -shared-prefix); the others are folded in when the server has them.
+	st, err := fetchStats(statsURL)
 	if cfg.sharedPref > 0 {
-		kv, err := fetchKVSharing(statsURL)
 		if err != nil {
 			return nil, nil, fmt.Errorf("stats: %w", err)
 		}
-		snap["LoadgenKVSharing"] = kv
+		snap["LoadgenKVSharing"] = kvSharing(st)
 	}
-	// If the stats endpoint is a router (its /v1/stats carries router_*
-	// counters), fold the fault-tolerance counters into the snapshot: a
-	// latency artifact should say how many retries/failovers/spills the
-	// run's percentiles absorbed.
-	if rc, ok := fetchRouterCounters(statsURL); ok {
+	if rc := routerCounters(st); len(rc) > 0 {
 		snap["LoadgenRouter"] = rc
 	}
-	// Likewise for the memory-pressure counters: when the server exposes
-	// them (any scheduler with the pressure surface), the snapshot records
-	// how much degradation — preemptions, deferred admissions, sheds,
-	// panics — the run's percentiles were measured under, plus the budget
-	// and the pool's high-water mark.
-	if pc, ok := fetchPressureCounters(statsURL); ok {
+	if pc, ok := pressureCounters(st); ok {
 		snap["LoadgenPressure"] = pc
 	}
 	var failures []string
@@ -365,79 +359,60 @@ func run(cfg config) (map[string]map[string]float64, []string, error) {
 	return snap, failures, nil
 }
 
-// fetchKVSharing samples the server's paged-KV sharing counters from
-// /v1/stats once the workload has drained. Slots release their pages
-// lazily (on the next admission), so the post-run numbers still reflect
-// the workload: kv_unique_bytes is resident KV with shared prefix pages
-// counted once, kv_logical_bytes what the same references would cost held
-// privately, kv_sharing_ratio their quotient (> 1 means prefix pages were
-// actually adopted). The keys land in the snapshot verbatim, so
-// `benchjson -compare` treats the *_bytes pair as lower-is-better
-// residency metrics like any other.
-func fetchKVSharing(base string) (map[string]float64, error) {
+// fetchStats samples the server's /v1/stats once the workload has
+// drained. The counters are cumulative since server start, so a CI job
+// that wants per-run deltas boots a fresh server per run — which the
+// smoke scripts do anyway.
+func fetchStats(base string) (map[string]any, error) {
 	resp, err := http.Get(base + "/v1/stats")
 	if err != nil {
 		return nil, err
-	}
-	defer resp.Body.Close()
-	var st struct {
-		Unique  float64 `json:"kv_unique_bytes"`
-		Logical float64 `json:"kv_logical_bytes"`
-		Pages   float64 `json:"kv_pages"`
-		Ratio   float64 `json:"kv_sharing_ratio"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return map[string]float64{
-		"kv_unique_bytes":  st.Unique,
-		"kv_logical_bytes": st.Logical,
-		"kv_pages":         st.Pages,
-		"kv_sharing_ratio": st.Ratio,
-	}, nil
-}
-
-// fetchRouterCounters samples router_* counters from /v1/stats; ok is
-// false when the endpoint has none (a plain replica). The keys land in
-// the snapshot with the router_ prefix stripped.
-func fetchRouterCounters(base string) (map[string]float64, bool) {
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		return nil, false
 	}
 	defer resp.Body.Close()
 	var st map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, false
+		return nil, err
 	}
+	return st, nil
+}
+
+// kvSharing picks the paged-KV sharing counters out of a stats sample
+// (missing keys read 0). Slots release their pages lazily (on the next
+// admission), so the post-run numbers still reflect the workload:
+// kv_unique_bytes is resident KV with shared prefix pages counted once,
+// kv_logical_bytes what the same references would cost held privately,
+// kv_sharing_ratio their quotient (> 1 means prefix pages were actually
+// adopted). The keys land in the snapshot verbatim, so
+// `benchjson -compare` treats the *_bytes pair as lower-is-better
+// residency metrics like any other.
+func kvSharing(st map[string]any) map[string]float64 {
+	out := map[string]float64{}
+	for _, k := range []string{"kv_unique_bytes", "kv_logical_bytes", "kv_pages", "kv_sharing_ratio"} {
+		out[k], _ = st[k].(float64)
+	}
+	return out
+}
+
+// routerCounters picks the router_* counters out of a stats sample, with
+// the prefix stripped; it is empty when the endpoint is a plain replica.
+// A latency artifact taken through a router thereby says how many
+// retries/failovers/spills the run's percentiles absorbed.
+func routerCounters(st map[string]any) map[string]float64 {
 	out := map[string]float64{}
 	for k, v := range st {
-		f, isNum := v.(float64)
-		if isNum && strings.HasPrefix(k, "router_") {
+		if f, isNum := v.(float64); isNum && strings.HasPrefix(k, "router_") {
 			out[strings.TrimPrefix(k, "router_")] = f
 		}
 	}
-	if len(out) == 0 {
-		return nil, false
-	}
-	return out, true
+	return out
 }
 
-// fetchPressureCounters samples the memory-pressure counters from
-// /v1/stats; ok is false when the endpoint has no pressure surface (the
-// `preemptions` key is the sentinel). The counters are cumulative since
-// server start, so a CI job that wants per-run deltas boots a fresh
-// server per run — which the smoke scripts do anyway.
-func fetchPressureCounters(base string) (map[string]float64, bool) {
-	resp, err := http.Get(base + "/v1/stats")
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	var st map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, false
-	}
+// pressureCounters picks the memory-pressure counters out of a stats
+// sample: how much degradation — preemptions, deferred admissions, sheds,
+// panics — the run's percentiles were measured under, plus the budget and
+// the pool's high-water mark. ok is false when the endpoint has no
+// pressure surface (the `preemptions` key is the sentinel).
+func pressureCounters(st map[string]any) (map[string]float64, bool) {
 	if _, hasPressure := st["preemptions"]; !hasPressure {
 		return nil, false
 	}

@@ -7,38 +7,37 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/parallel"
+	"repro/internal/tensor"
 )
 
-// TestStepSteadyStateAllocs pins the decode-arena property — the decode
+// TestStepSteadyStateAllocs pins the arena property for decode — the
 // mirror of TestAppendSteadyStateAllocs: once a session has decoded one
 // sequence (scratch arena sized, KV chunks and LUT tables warm), further
 // decode steps on the float path allocate nothing at one worker, and the
-// packed path is bounded by the pooled decode buffers' noise.
+// packed path is bounded by the pooled decode buffers' noise. Prefill
+// chunks and Steps interleaved on one session allocate nothing either.
 func TestStepSteadyStateAllocs(t *testing.T) {
-	const steps = 16
-	run := func(m *model.Model) float64 {
+	// run measures one sequence on a recycled session: the prompt goes in
+	// through Append in DefaultPrefillChunk-row chunks, then steps sampled
+	// tokens are fed back through Step.
+	run := func(m *model.Model, promptLen, steps int) float64 {
 		parallel.SetWorkers(1)
 		defer parallel.SetWorkers(0)
+		prompt := make([]int, promptLen)
+		for i := range prompt {
+			prompt[i] = 1 + i%7
+		}
 		sess := NewSession(m.View())
 		rng := rand.New(rand.NewSource(9))
 		var sp Sampler
-		// Warm scratch, KV chunks, sampler buffers and (packed) LUT tables
-		// past the steady-state sequence length.
-		logits, err := sess.Step(1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < steps; i++ {
-			tok := sp.Sample(rng, logits.Row(0), 0.8)
-			if logits, err = sess.Step(tok); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return testing.AllocsPerRun(20, func() {
+		sequence := func() {
 			sess.Reset()
-			l, err := sess.Step(1)
-			if err != nil {
-				t.Fatal(err)
+			var l *tensor.Mat
+			var err error
+			for lo := 0; lo < promptLen; lo += DefaultPrefillChunk {
+				if l, err = sess.Append(prompt[lo:min(lo+DefaultPrefillChunk, promptLen)]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for i := 0; i < steps; i++ {
 				tok := sp.Sample(rng, l.Row(0), 0.8)
@@ -46,9 +45,14 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-		})
+		}
+		// Warm scratch, KV chunks, sampler buffers and (packed) LUT tables
+		// past the steady-state sequence length.
+		sequence()
+		return testing.AllocsPerRun(20, sequence)
 	}
-	if allocs := run(model.New(model.Tiny(), 3)); allocs > 0 {
+	const steps = 16
+	if allocs := run(model.New(model.Tiny(), 3), 1, steps); allocs > 0 {
 		t.Fatalf("float decode allocates %v per %d-step sequence in steady state, want 0", allocs, steps+1)
 	}
 	// The packed path's only steady-state allocations are pooled decode
@@ -58,9 +62,15 @@ func TestStepSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		packedBound = 1024
 	}
-	if allocs := run(packTiny(t, model.Tiny())); allocs > packedBound {
+	if allocs := run(packTiny(t, model.Tiny()), 1, steps); allocs > packedBound {
 		t.Fatalf("packed decode allocates %v per %d-step sequence in steady state, want <= %v",
 			allocs, steps+1, packedBound)
+	}
+	// A serving slot's pattern: a prompt whose last chunk is partial
+	// (16 + 5 rows), then the Step loop, so every sequence switches the
+	// shared arena between three row counts.
+	if allocs := run(model.New(model.Tiny(), 3), 21, 10); allocs > 0 {
+		t.Fatalf("float prefill→decode allocates %v per 21+10-token sequence in steady state, want 0", allocs)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"math/rand"
 
 	"repro/internal/model"
-	"repro/internal/nn"
 	"repro/internal/quant"
 	"repro/internal/tensor"
 )
@@ -200,14 +199,12 @@ type Session struct {
 	// consumer on edge devices beside the weights. Per-row (per-token,
 	// per-layer) dynamic grids.
 	kvQuant *quant.ActQuantizer
-	// scratch is the reusable arena of the chunked prefill path, sized on
-	// first use and kept across Reset so a recycled scheduler slot
-	// allocates nothing per chunk in steady state.
+	// scratch is the reusable arena of the block forward (prefill.go),
+	// sized on first use and kept across Reset so a recycled scheduler
+	// slot allocates nothing per chunk or per token in steady state.
 	scratch *chunkScratch
-	// dscratch is the reusable arena of the single-token decode path (see
-	// decode.go), allocated on first Step and likewise kept across Reset,
-	// so steady-state decode allocates nothing per token.
-	dscratch *decodeScratch
+	// tok backs the one-token slice Step hands to Append.
+	tok [1]int
 }
 
 // NewSession creates a decoding session with empty caches over a private
@@ -302,19 +299,6 @@ func (s *Session) KVCacheBytes() int {
 	return n
 }
 
-// applyRoPEAt rotates a single-row matrix as if it sat at sequence
-// position pos. RoPE.ApplyAt rotates the row in place with the tables of
-// that position, so incremental decode costs O(dim) per projection instead
-// of the O(pos·dim) padded-matrix embedding it used previously (which made
-// a full decode O(seq²) in allocations and rotation work per layer).
-// No-op for non-rotary architectures.
-func applyRoPEAt(attn *nn.Attention, row *tensor.Mat, pos int) {
-	if attn.Rope == nil {
-		return
-	}
-	attn.Rope.ApplyAt(row, pos)
-}
-
 // Prefill consumes a prompt and returns the logits after its last token,
 // processing the prompt in DefaultPrefillChunk-sized batched chunks (see
 // Append) — bit-identical to feeding the prompt through Step token by
@@ -381,27 +365,13 @@ func (s *Session) PrefillChunkedCtx(ctx context.Context, prompt []int, chunk int
 	return logits.Clone(), nil //aptq:ignore noalloc documented contract: the logits row is cloned out of the arena once per prefill call
 }
 
-// PrefillLoop consumes the prompt one Step at a time — the pre-chunking
-// reference implementation, kept as the bit-identity oracle of the
-// chunked path and the baseline of the BenchmarkPrefill pairs. It shares
-// Prefill's contract, including rollback on error and the cloned return
-// (Step's logits live in the decode arena; the clone keeps them valid
-// across later use of the session).
+// PrefillLoop consumes the prompt one token at a time — the token loop
+// the chunked path is checked against and the baseline of the
+// BenchmarkPrefill pairs. It is PrefillChunked with a chunk of 1 and
+// shares Prefill's contract, including rollback on error and the cloned
+// return.
 func (s *Session) PrefillLoop(prompt []int) (*tensor.Mat, error) {
-	if len(prompt) == 0 {
-		return nil, ErrEmptyPrompt
-	}
-	pos0 := s.pos
-	var logits *tensor.Mat
-	var err error
-	for _, tok := range prompt {
-		logits, err = s.Step(tok)
-		if err != nil {
-			s.rewind(pos0)
-			return nil, err
-		}
-	}
-	return logits.Clone(), nil
+	return s.PrefillChunked(prompt, 1)
 }
 
 // rewind rolls the session back to pos consumed tokens, truncating every

@@ -1,14 +1,14 @@
-// Chunked prefill: the batched prompt path of a decoding session. Where
-// Step feeds one token through the model per call — a 1 x Dim matvec
-// sweep and an O(seq) attention re-read per token — Append processes a
-// T x Dim chunk of prompt tokens in a single block forward: matrix-matrix
-// projections (which route packed weights through the LUT decode kernel
-// and amortize each weight-row decode over the whole chunk), causal
-// multi-row attention, a bulk KV-cache append, and multi-row RoPE/norms,
-// all through a reusable scratch arena so the steady state allocates
-// nothing per chunk. Every scalar operation runs in the same order as the
-// Step loop, so the chunked path is bit-identical to it at any chunk size
-// and worker count — the property the prefill tests pin down.
+// The block forward of a decoding session. Append processes a T x Dim
+// chunk of tokens in a single block forward: matrix-matrix projections
+// (which route packed weights through the LUT decode kernel and amortize
+// each weight-row decode over the whole chunk), causal multi-row
+// attention, a bulk KV-cache append, and multi-row RoPE/norms, all through
+// a reusable scratch arena so the steady state allocates nothing per
+// chunk. Step is the T = 1 case of the same forward, so prompt chunks and
+// decode tokens share one implementation and one arena. Per-row results
+// do not depend on the chunk size, so the chunked path is bit-identical
+// to the token-by-token loop at any chunk size and worker count — the
+// property the prefill tests pin down.
 package infer
 
 import (
@@ -27,10 +27,10 @@ import (
 // chunk-by-chunk keeps its decode ticks responsive.
 const DefaultPrefillChunk = 16
 
-// chunkScratch is the reusable arena of the chunked prefill path: every
-// T x Dim (and T x FF) intermediate of the block forward plus the per-row
-// attention score/probability rows, allocated once per session and reused
-// for every chunk of every request the session serves.
+// chunkScratch is the reusable arena of the block forward: every T x Dim
+// (and T x FF) intermediate plus the per-row attention score/probability
+// rows, allocated once per session and reused for every prompt chunk and
+// every decode Step of every request the session serves.
 type chunkScratch struct {
 	rows int // current view size
 	cap  int // allocated rows
@@ -40,8 +40,9 @@ type chunkScratch struct {
 	h1b, h2b                             *tensor.Mat // cap x ff
 	scoresb, probsb                      *tensor.Mat // cap x maxSeq
 
-	// Views of the first rows rows of the backing matrices, re-sliced only
-	// when the chunk size changes (e.g. a prompt's final partial chunk).
+	// Views of the first rows rows of the backing matrices. The headers
+	// are allocated once and re-pointed in place when the chunk size
+	// changes (a prompt's final partial chunk, a prefill→decode switch).
 	x, attnIn, q, k, v, ctx, proj *tensor.Mat
 	h1, h2                        *tensor.Mat
 	scores, probs                 *tensor.Mat
@@ -71,25 +72,36 @@ func newChunkScratch(cfg model.Config, rows int) *chunkScratch {
 	return sc
 }
 
-// setRows re-slices the working views to T rows. A no-op (and therefore
-// allocation-free) while consecutive chunks share a size.
+// setRows points the working views at the first T rows of the backing
+// matrices. A no-op while consecutive chunks share a size, and
+// allocation-free when the size changes: the view headers are allocated
+// on first use and re-pointed in place afterwards.
 func (sc *chunkScratch) setRows(T int) {
 	if sc.rows == T {
 		return
 	}
 	sc.rows = T
-	sc.x = sc.xb.SliceRows(0, T)
-	sc.attnIn = sc.attnInb.SliceRows(0, T)
-	sc.q = sc.qb.SliceRows(0, T)
-	sc.k = sc.kb.SliceRows(0, T)
-	sc.v = sc.vb.SliceRows(0, T)
-	sc.ctx = sc.ctxb.SliceRows(0, T)
-	sc.proj = sc.projb.SliceRows(0, T)
-	sc.h1 = sc.h1b.SliceRows(0, T)
-	sc.h2 = sc.h2b.SliceRows(0, T)
-	sc.scores = sc.scoresb.SliceRows(0, T)
-	sc.probs = sc.probsb.SliceRows(0, T)
-	sc.last = sc.xb.SliceRows(T-1, T)
+	view(&sc.x, sc.xb, 0, T)
+	view(&sc.attnIn, sc.attnInb, 0, T)
+	view(&sc.q, sc.qb, 0, T)
+	view(&sc.k, sc.kb, 0, T)
+	view(&sc.v, sc.vb, 0, T)
+	view(&sc.ctx, sc.ctxb, 0, T)
+	view(&sc.proj, sc.projb, 0, T)
+	view(&sc.h1, sc.h1b, 0, T)
+	view(&sc.h2, sc.h2b, 0, T)
+	view(&sc.scores, sc.scoresb, 0, T)
+	view(&sc.probs, sc.probsb, 0, T)
+	view(&sc.last, sc.xb, T-1, T)
+}
+
+// view points *v at rows [lo, hi) of b, allocating the header only if
+// *v is nil.
+func view(v **tensor.Mat, b *tensor.Mat, lo, hi int) {
+	if *v == nil {
+		*v = new(tensor.Mat)
+	}
+	**v = tensor.Mat{Rows: hi - lo, Cols: b.Cols, Data: b.Data[lo*b.Cols : hi*b.Cols]}
 }
 
 // ensureScratch returns the session scratch sized for a T-row chunk,
@@ -113,7 +125,7 @@ func (s *Session) ensureScratch(T int) *chunkScratch {
 // calling Step for each token in order, at any worker count.
 //
 // The returned matrix is owned by the session and overwritten by its next
-// Append/Prefill; clone it to retain it past that. On error the session
+// Step/Append/Prefill; clone it to retain it past that. On error the session
 // is unchanged: the length check and the KV reservation both run before
 // any state is touched, so a failed Append never half-advances the
 // sequence — an ErrPoolExhausted Append may be retried verbatim once the
@@ -125,12 +137,12 @@ func (s *Session) Append(tokens []int) (*tensor.Mat, error) {
 		return nil, ErrEmptyPrompt
 	}
 	if s.pos+len(tokens) > s.m.Cfg.MaxSeq {
-		return nil, fmt.Errorf("infer: sequence length %d exceeds MaxSeq %d", s.pos+len(tokens), s.m.Cfg.MaxSeq) //aptq:ignore noalloc cold error path: an out-of-budget request never reaches the prefill steady state
+		return nil, fmt.Errorf("infer: sequence length %d exceeds MaxSeq %d", s.pos+len(tokens), s.m.Cfg.MaxSeq) //aptq:ignore noalloc cold error path: an out-of-budget request never reaches the steady state
 	}
 	if err := s.reserveKV(len(tokens)); err != nil {
 		return nil, err
 	}
-	sc := s.ensureScratch(len(tokens)) //aptq:ignore noalloc prefill arena is allocated once and regrown only when a wider chunk arrives
+	sc := s.ensureScratch(len(tokens)) //aptq:ignore noalloc the arena is allocated once and regrown only when a wider chunk arrives
 	pos0 := s.pos
 	s.m.EmbedChunkInto(sc.x, tokens, pos0)
 	for bi, b := range s.m.Blocks {
@@ -142,10 +154,21 @@ func (s *Session) Append(tokens []int) (*tensor.Mat, error) {
 	return sc.logits, nil
 }
 
+// Step consumes one token and returns the next-token logits (1 x vocab):
+// a one-token Append on the session's arena, with the same error and
+// ownership contract. (Sampling the next token before stepping again, the
+// pattern of every decode loop in this repository, needs no clone.)
+//
+//aptq:noalloc
+func (s *Session) Step(token int) (*tensor.Mat, error) {
+	s.tok[0] = token
+	return s.Append(s.tok[:])
+}
+
 // chunkBlock runs one decoder block over a T-row chunk whose first row
-// sits at sequence position pos0, with the same per-element operation
-// order as stepBlock, so the residual stream is bit-identical to the Step
-// loop.
+// sits at sequence position pos0. Every row runs the same per-element
+// operations in the same order (x + attnOut, then h + mlpOut) whatever T
+// is, so the residual stream does not depend on how tokens are chunked.
 func (s *Session) chunkBlock(b *nn.Block, c *kvCache, sc *chunkScratch, pos0 int) {
 	b.AttnNorm.ForwardInto(sc.attnIn, sc.x)
 	s.chunkAttention(b.Attn, c, sc, pos0)
@@ -173,10 +196,12 @@ func attnRowGrain(opsPerRow int) int {
 // chunkAttention computes causal attention for all T chunk rows against
 // the cache — bulk-appending the chunk's keys and values first — and
 // writes WO's projection of the context into sc.proj. Row t attends to
-// cached positions [0, pos0+t]: the same horizon, score order, softmax
-// and value-accumulation order as stepAttention. Rows partition across
-// workers and each row owns its scores/probs scratch and its output rows,
-// so the fan-out is bit-deterministic at any worker count.
+// cached positions [0, pos0+t] with a fixed score, softmax and
+// value-accumulation order. Rows partition across workers and each row
+// owns its scores/probs scratch and its output rows, so the fan-out is
+// bit-deterministic at any worker count. A fan-out that would be a single
+// chunk (always the case for a one-token Step) runs inline, without
+// building the parallel region.
 func (s *Session) chunkAttention(attn *nn.Attention, c *kvCache, sc *chunkScratch, pos0 int) {
 	attn.WQ.ForwardInto(sc.q, sc.attnIn)
 	attn.WK.ForwardInto(sc.k, sc.attnIn)
@@ -194,12 +219,12 @@ func (s *Session) chunkAttention(attn *nn.Attention, c *kvCache, sc *chunkScratc
 	c.appendRows(sc.k, sc.v)
 
 	T := sc.q.Rows
-	if parallel.Workers() == 1 {
+	// Average attention cost per row: one dot and one axpy over every
+	// cached position per head, about 2*dim*(pos0+T/2) multiply-adds.
+	grain := attnRowGrain(2 * attn.Dim * (pos0 + (T+1)/2))
+	if parallel.Workers() == 1 || T <= grain {
 		attnRowRange(attn, c, sc, pos0, 0, T)
 	} else {
-		// Average attention cost per row: one dot and one axpy over every
-		// cached position per head, about 2*dim*(pos0+T/2) multiply-adds.
-		grain := attnRowGrain(2 * attn.Dim * (pos0 + (T+1)/2))
 		parallel.For(T, grain, func(lo, hi int) {
 			attnRowRange(attn, c, sc, pos0, lo, hi)
 		})

@@ -9,10 +9,10 @@ import (
 
 // Sampler draws tokens from logits with reusable scratch buffers, so the
 // temperature path of a decode loop allocates nothing per token in steady
-// state — the sampling-side counterpart of the decodeScratch arena. A
-// Sampler is not safe for concurrent use; decode loops that fan out across
-// sequences keep one per sequence (see Batch.Generate and the serving
-// scheduler's slots). The zero value is ready to use.
+// state — the sampling-side counterpart of the session's block-forward
+// arena. A Sampler is not safe for concurrent use; decode loops that fan
+// out across sequences keep one per sequence (see Batch.Generate and the
+// serving scheduler's slots). The zero value is ready to use.
 //
 // Sample is bit-identical to SampleLogits for every input: the scratch
 // reuse changes where the intermediate slices live, never a float

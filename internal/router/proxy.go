@@ -37,10 +37,6 @@ import (
 	"repro/internal/serve"
 )
 
-// maxRequestBytes bounds the buffered request body; generate requests are
-// a prompt and a handful of scalars.
-const maxRequestBytes = 1 << 20
-
 // httpError writes a JSON error body with the given status.
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -87,7 +83,7 @@ func (rt *Router) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusServiceUnavailable, "router draining")
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, serve.MaxRequestBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "read body: %v", err)
 		return
@@ -370,7 +366,7 @@ func (rt *Router) proxyStream(w http.ResponseWriter, r *http.Request, body []byt
 // recognizable by its finish_reason field) has been forwarded.
 func (rt *Router) relay(w http.ResponseWriter, flusher http.Flusher, upstream io.Reader, delivered *int) (done bool, err error) {
 	sc := bufio.NewScanner(upstream)
-	sc.Buffer(make([]byte, 0, 64<<10), maxRequestBytes)
+	sc.Buffer(make([]byte, 0, 64<<10), serve.MaxRequestBytes)
 	for sc.Scan() {
 		line := sc.Bytes()
 		payload, ok := bytes.CutPrefix(line, []byte("data: "))

@@ -21,6 +21,11 @@ import (
 	"repro/internal/model"
 )
 
+// MaxRequestBytes bounds a POST /v1/generate body, at a replica and at the
+// router; generate requests are a prompt and a handful of scalars. A
+// larger body is answered 400 before anything reaches the scheduler.
+const MaxRequestBytes = 1 << 20
+
 // GenerateRequest is the JSON body of POST /v1/generate. Exactly one of
 // Prompt (whitespace-tokenized words of the synthetic vocabulary) or
 // Tokens (raw ids) supplies the prompt.
@@ -145,7 +150,7 @@ func (s *Server) handleGenerate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req GenerateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "bad json: %v", err)
 		return
 	}

@@ -140,6 +140,27 @@ func TestGenerateRejectsBadRequests(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsOversizedBody: a well-formed request one byte past
+// MaxRequestBytes is answered 400 and never reaches the scheduler, while
+// a small request on the same server is still served.
+func TestGenerateRejectsOversizedBody(t *testing.T) {
+	srv, ts := testHTTPServer(t)
+	head, tail := `{"tokens":[1],"max_tokens":1,"id":"`, `"}`
+	big := head + strings.Repeat("x", MaxRequestBytes+1-len(head)-len(tail)) + tail
+	if code, b := post(t, ts.URL+"/v1/generate", big); code != http.StatusBadRequest {
+		t.Fatalf("%d-byte body: status %d (%.200s), want 400", len(big), code, b)
+	}
+	if n := srv.Scheduler().Stats().Submitted; n != 0 {
+		t.Fatalf("oversized body submitted %d requests to the scheduler, want 0", n)
+	}
+	if code, b := post(t, ts.URL+"/v1/generate", `{"tokens":[1,2],"max_tokens":2}`); code != http.StatusOK {
+		t.Fatalf("small body: status %d (%s), want 200", code, b)
+	}
+	if n := srv.Scheduler().Stats().Submitted; n != 1 {
+		t.Fatalf("scheduler saw %d submissions, want 1", n)
+	}
+}
+
 func TestHealthAndStats(t *testing.T) {
 	_, ts := testHTTPServer(t)
 	resp, err := http.Get(ts.URL + "/healthz")

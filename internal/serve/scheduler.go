@@ -1190,6 +1190,7 @@ func (s *Scheduler) loop() {
 		}
 		ps := s.pool.Stats()
 		s.mu.Lock()
+		freed := false // a finished slot returned its pages this tick
 		for _, sl := range live {
 			if sl.panicked {
 				s.stats.Panics++
@@ -1219,6 +1220,7 @@ func (s *Scheduler) loop() {
 				// now instead of lazily on its next admission: idle slots must
 				// not hoard budget other slots are starving for.
 				sl.sess.Reset()
+				freed = true
 			}
 		}
 		// Preemption, the budget's last resort: a slot that could not lease
@@ -1228,7 +1230,9 @@ func (s *Scheduler) loop() {
 		// be restored bit-identically later. One victim per tick: freeing
 		// one slot's pages typically unstarves several, and survivors retry
 		// next tick. If the starved slot is the only one running, there is
-		// nothing left to preempt or reclaim — it fails with the pool error
+		// nothing left to preempt: it retries next tick if a slot that
+		// finished this tick returned pages (its failed lease ran before
+		// that release), and otherwise fails with the pool error
 		// (unreachable when admission is on: Submit rejects any request
 		// whose worst case exceeds the whole budget).
 		if s.budgetPages > 0 {
@@ -1251,11 +1255,11 @@ func (s *Scheduler) loop() {
 						victim = sl
 					}
 				}
-				if actives <= 1 {
-					starved.finish(FinishError, infer.ErrPoolExhausted) // delivered next tick
-				} else {
+				if actives > 1 {
 					s.preemptLocked(victim)
 					nActive--
+				} else if !freed {
+					starved.finish(FinishError, infer.ErrPoolExhausted) // delivered next tick
 				}
 			}
 		}
